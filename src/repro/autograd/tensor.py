@@ -30,8 +30,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import arena as _arena
-
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 #: Process-wide dtype every tensor is coerced to.  float64 is the historical
@@ -209,21 +207,9 @@ class Tensor:
             if donate and grad.base is None and grad.flags.writeable:
                 self.grad = grad
                 return
-            pool = _arena.current()
-            if pool is not None and self._backward_fn is not None:
-                buffer = pool.acquire(grad.shape, grad.dtype)
-                np.copyto(buffer, grad)
-                self.grad = buffer
-            else:
-                self.grad = grad.copy()
+            self.grad = grad.copy()
         else:
             self.grad += grad
-            if donate:
-                # The donated temporary was consumed by the in-place add;
-                # hand it to the pool instead of dropping it on the floor.
-                pool = _arena.current()
-                if pool is not None:
-                    pool.release(grad)
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -240,10 +226,7 @@ class Tensor:
                     "backward() without an explicit gradient requires a scalar "
                     f"tensor; got shape {self.shape}"
                 )
-            # The seed is freshly built, so the root can take ownership
-            # outright (donate) instead of round-tripping the arena — the
-            # root's grad outlives the pass, so pooling it would leak one
-            # buffer per step.
+            # The seed is freshly built, so the root takes ownership (donate).
             seed = np.ones_like(self.data)
         else:
             # Private copy (first-touch accumulation always copied anyway)
@@ -252,18 +235,9 @@ class Tensor:
 
         order = self._topological_order()
         self._accumulate_grad(seed, donate=True)
-        pool = _arena.current()
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-                # Reverse topological order guarantees every consumer of
-                # this node has already contributed to its grad, and the
-                # closure above was its only reader — the buffer can go
-                # straight back to the pool.  The root keeps its grad
-                # (callers inspect ``loss.grad`` after ``backward``).
-                if pool is not None and node is not self:
-                    pool.release(node.grad)
-                    node.grad = None
 
     def _topological_order(self) -> List["Tensor"]:
         """Iterative post-order DFS (avoids recursion limits on deep graphs)."""

@@ -159,13 +159,10 @@ def _cmd_train(args) -> int:
     print(f"{args.method}: accuracy {result.test_accuracy} "
           f"(fit {method.info.seconds:.1f}s)")
     if args.save:
-        if args.method != "e2gcl":
-            print("--save only supports the e2gcl method", file=sys.stderr)
-            return 2
-        from .core.serialization import save_model
+        from .engine import save_checkpoint
 
-        save_model_path = save_model_wrapper(method, args.save)
-        print(f"checkpoint written to {save_model_path}")
+        saved = save_checkpoint(method.last_loop, args.save)
+        print(f"checkpoint written to {saved}")
     return 0
 
 
@@ -182,17 +179,6 @@ def _resolve_resume(target):
     if not path.is_file():
         return None
     return path
-
-
-def save_model_wrapper(method, path):
-    """Adapt an :class:`E2GCLMethod` to the facade-based checkpoint format."""
-    from .core import E2GCL
-    from .core.serialization import save_model
-
-    facade = E2GCL(method.config)
-    facade.trainer = method.trainer
-    facade.result = method.train_result
-    return save_model(facade, path)
 
 
 def _build_server(args):
@@ -481,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--partition-parts", type=int, default=None,
                        help="batch anchors by BFS partition part "
                             "(--sampled; Cluster-GCN-style locality)")
-    train.add_argument("--save", default=None, help="write an .npz checkpoint (e2gcl only)")
+    train.add_argument("--save", default=None,
+                       help="write a v2 engine checkpoint of the final state "
+                            "(.npz, any method; read it with export_encoder)")
     train.add_argument("--checkpoint", default=None,
                        help="write a resumable engine checkpoint (.npz, any method)")
     train.add_argument("--checkpoint-every", type=int, default=10,

@@ -18,8 +18,8 @@ contrasting mode:
 Numerical contracts, pinned by ``tests/contrast/test_equivalence.py``:
 
 * ``InfoNCE.pair_loss`` with ``negatives=None`` computes float-for-float
-  the historical ``repro.core.losses.infonce_loss`` (two dense ``(m, 2m)``
-  similarity blocks, shifted logsumexp);
+  the historical ``infonce_loss`` (two dense ``(m, 2m)`` similarity
+  blocks, shifted logsumexp);
 * ``Euclidean.pair_loss`` is the historical Eq. 5 loss;
 * ``JSD.score_loss`` with equal-length scores is the historical DGI/MVGRL
   BCE discriminator loss (JSD lower bound);
@@ -142,7 +142,7 @@ class InfoNCE(Objective):
         self, a: Tensor, b: Tensor, m: int, negatives: np.ndarray
     ) -> Tensor:
         t = self.temperature
-        pos = ops.mul(ops.normalize_cosine_rowwise(a, b), 1.0 / t)              # (m,)
+        pos = ops.mul(functional.rowwise_cosine_similarity(a, b), 1.0 / t)      # (m,)
         cross = ops.mul(ops.normalize_cosine_sim_gather(a, b, negatives), 1.0 / t)
         intra = ops.mul(ops.normalize_cosine_sim_gather(a, a, negatives), 1.0 / t)
         # Denominator mirrors the dense loss's structure — the positive term
@@ -205,9 +205,9 @@ class JSD(Objective):
 
     def pair_loss(self, z1, z2, negatives=None, weights=None) -> Tensor:
         m = z1.shape[0]
-        pos = ops.normalize_cosine_rowwise(z1, z2)                      # (m,)
+        pos = functional.rowwise_cosine_similarity(z1, z2)              # (m,)
         if negatives is None:
-            sims = ops.normalize_cosine_sim(z1, z2)                     # (m, m)
+            sims = functional.cosine_similarity_matrix(z1, z2)          # (m, m)
             mask = ~np.eye(m, dtype=bool)
             neg = ops.index(sims, np.where(mask))                       # (m·(m−1),)
         else:
@@ -324,9 +324,9 @@ class MarginMining(Objective):
     def pair_loss(self, z1, z2, negatives=None, weights=None) -> Tensor:
         m = z1.shape[0]
         w = _normalize_weights(weights, m)
-        pos = ops.normalize_cosine_rowwise(z1, z2)                      # (m,)
+        pos = functional.rowwise_cosine_similarity(z1, z2)              # (m,)
         if negatives is None:
-            sims = ops.normalize_cosine_sim(z1, z2)                     # (m, m)
+            sims = functional.cosine_similarity_matrix(z1, z2)          # (m, m)
             mask = ~np.eye(m, dtype=bool)
             hinge = ops.relu(
                 ops.add(ops.sub(sims, ops.reshape(pos, (m, 1))), self.margin)

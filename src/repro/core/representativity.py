@@ -11,12 +11,17 @@ Given the propagated features ``R = A_n^L X`` and a KMeans partition
 round, so this module maintains the objective incrementally:
 
 * ``eff[v]`` — each node's current covering cost under ``V_s``;
-* per-cluster sorted copies of ``eff`` with prefix sums, so the cross-cluster
-  relaxation term of a candidate is evaluated in ``O(log |C_i|)`` per cluster
-  instead of ``O(|C_i|)``.
+* a padded ``(n_c, W)`` matrix of ``eff`` grouped by cluster, where ``W``
+  is the size of the *largest* cluster (empty slots hold ``-inf``).
 
-A candidate's gain is then ``O(|C_j| + n_c log n)`` where ``j`` is its own
-cluster — matching the complexity budget in the paper's Sec. III-C.
+Cost of one candidate's gain: the cross-cluster term compares the
+candidate's ``n_c`` thresholds against every slot of the padded matrix,
+``O(n_c · W)`` (at least ``O(n)``, and up to ``n_c`` times that when the
+clusters are unbalanced); the intra-cluster term is ``O(|C_j| · d)`` for
+the candidate's own cluster ``j``.  A greedy round batches ``n_s``
+candidates into a dense ``(chunk, n_c, W)`` tensor (``chunk`` capped by
+``gain_budget_bytes``), so one round costs ``O(n_s · n_c · W)`` time and
+selection time follows the widest k-means cluster, not ``n`` alone.
 """
 
 from __future__ import annotations

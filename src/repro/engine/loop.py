@@ -23,12 +23,7 @@ One loop owns everything method-agnostic about pre-training:
   full run state, ``TrainLoop(..., resume_from=path)`` continues it
   bit-identically;
 * **perf counter scoping** — setup and epochs accumulate under
-  ``<scope>.setup`` / ``<scope>.epoch`` in :mod:`repro.perf`;
-* **gradient buffer pooling** — the loop runs with the
-  :mod:`repro.autograd.arena` active (bit-identical numerics), so every
-  backward pass in the run recycles its intermediate gradient buffers;
-  pool counters land in :mod:`repro.perf` gauges and an
-  ``engine.arena`` event at the end of the run.
+  ``<scope>.setup`` / ``<scope>.epoch`` in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Union
 
 from ..autograd import Adam
-from ..autograd import arena as _arena
-from ..obs.tracer import emit_event
 from ..perf import record
 from .checkpoint import restore_loop, save_checkpoint
 from .history import EpochRecord, RunHistory
@@ -101,10 +94,6 @@ class TrainLoop:
     resume_from:
         Optional v2 checkpoint path; the run continues from its saved
         epoch with restored parameters, optimizer slots, and RNG states.
-    grad_arena:
-        Pool intermediate gradient buffers across the run's backward
-        passes (default on; numerically a no-op, skips per-step
-        allocator churn).
     """
 
     def __init__(
@@ -120,7 +109,6 @@ class TrainLoop:
         seed: int = 0,
         scope: str = "engine",
         resume_from: Optional[Union[str, Path]] = None,
-        grad_arena: bool = True,
     ) -> None:
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -146,9 +134,6 @@ class TrainLoop:
         self._resume_from = Path(resume_from) if resume_from is not None else None
         self._t0: Optional[float] = None
         self._excluded_seconds = 0.0
-        self.grad_arena: Optional[_arena.GradArena] = (
-            _arena.GradArena() if grad_arena else None
-        )
 
     # ------------------------------------------------------------------
     # Clock
@@ -217,15 +202,6 @@ class TrainLoop:
     # ------------------------------------------------------------------
     def run(self) -> RunHistory:
         """Execute the run; returns the (possibly resumed) history."""
-        if self.grad_arena is not None:
-            with _arena.active_arena(arena=self.grad_arena):
-                history = self._run()
-            stats = _arena.publish_stats(self.grad_arena)
-            emit_event("engine.arena", scope=self.scope, **stats)
-            return history
-        return self._run()
-
-    def _run(self) -> RunHistory:
         self._t0 = time.perf_counter()
         self._excluded_seconds = 0.0
         for hook in self.hooks:

@@ -20,13 +20,16 @@ Event shapes (one JSON object per line)::
 
 Span events are emitted when the span *closes* (that is when the duration
 is known), so children precede their parents in the stream; ``parent`` ids
-recover the nesting.  When no tracer is active, the module-level
-:func:`span` / :func:`emit_metric` helpers are no-ops costing one global
-read — cheap enough to leave in the training loop permanently.
+recover the nesting.  Each thread nests its spans on its own stack, so a
+span opened on a request or batcher thread names that thread's enclosing
+span as its parent, never another thread's.  When no tracer is active, the
+module-level :func:`span` / :func:`emit_metric` helpers are no-ops costing
+one global read — cheap enough to leave in the training loop permanently.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -86,7 +89,7 @@ class _Span:
     """A live span: context manager that emits its event on exit."""
 
     __slots__ = ("tracer", "name", "attrs", "span_id", "parent", "depth",
-                 "_t0", "_track")
+                 "_t0", "_track", "_stack")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
         self.tracer = tracer
@@ -95,7 +98,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tracer = self.tracer
-        stack = tracer._stack
+        stack = self._stack = tracer._stack
         self.parent = stack[-1].span_id if stack else None
         self.depth = len(stack)
         self.span_id = tracer._next_span_id()
@@ -109,8 +112,8 @@ class _Span:
     def __exit__(self, *exc) -> None:
         seconds = time.perf_counter() - self._t0
         tracer = self.tracer
-        if tracer._stack and tracer._stack[-1] is self:
-            tracer._stack.pop()
+        if self._stack and self._stack[-1] is self:
+            self._stack.pop()
         payload = {
             "type": "span",
             "name": self.name,
@@ -153,8 +156,8 @@ class Tracer:
         self.trace_malloc = trace_malloc
         self.events: List[dict] = []
         self._origin = time.perf_counter()
-        self._stack: List[_Span] = []
-        self._span_count = 0
+        self._local = threading.local()
+        self._span_ids = itertools.count(1)
         self._file = None
         self._closed = False
 
@@ -204,9 +207,18 @@ class Tracer:
         self._emit(record)
 
     # ------------------------------------------------------------------
+    @property
+    def _stack(self) -> List[_Span]:
+        """The calling thread's open spans, innermost last."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
     def _next_span_id(self) -> int:
-        self._span_count += 1
-        return self._span_count
+        # One C-level call on the shared counter: no read-modify-write in
+        # Python for two threads to interleave.
+        return next(self._span_ids)
 
     def _emit(self, payload: dict) -> None:
         with _lock:

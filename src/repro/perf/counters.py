@@ -79,9 +79,9 @@ def reset() -> None:
 def set_gauge(name: str, value: float) -> None:
     """Record a point-in-time value (latest write wins, unlike counters).
 
-    Gauges carry state snapshots that don't accumulate — pool sizes,
-    buffer-arena hit counts, bytes held — published by subsystems like
-    :mod:`repro.autograd.arena` and picked up by benchmarks and traces
+    Gauges carry state snapshots that don't accumulate — partition edge
+    cut and balance, feature-store chunk sizes — published by subsystems
+    like :mod:`repro.scale` and picked up by benchmarks and traces
     alongside the wall-clock counters.
     """
     with _lock:

@@ -59,14 +59,3 @@ def test_e2gcl_euclidean_reproduces_pre_refactor_losses(tiny_cora):
         method.info.losses, REFERENCE_EUCLIDEAN, atol=1e-8,
         err_msg="euclidean: UniformK mapping changed the RNG draw",
     )
-
-
-def test_legacy_loss_shims_are_reexports(tiny_cora):
-    """core.losses keeps its public surface, delegating to repro.contrast."""
-    from repro.contrast import negatives as contrast_negatives
-    from repro.core import losses as core_losses
-
-    assert (
-        core_losses.sample_negative_indices
-        is contrast_negatives.sample_negative_indices
-    )

@@ -5,10 +5,13 @@ import pytest
 
 from repro.autograd import Tensor, functional
 from repro.contrast import (
+    AllPairs,
     BarlowTwins,
     BootstrapCosine,
     Euclidean,
     InfoNCE,
+    L2LContrast,
+    UniformK,
     available_objectives,
     get_objective,
     sample_negative_indices,
@@ -52,11 +55,11 @@ class TestRegistry:
 
 class TestInfoNCE:
     def test_dense_matches_legacy_shim(self):
-        from repro.core.losses import infonce_loss
-
+        """The removed ``core.losses.infonce_loss`` shim was this
+        composition: InfoNCE through L2LContrast with all-pairs negatives."""
         z1, z2 = _views()
         a = InfoNCE(temperature=0.4).pair_loss(z1, z2)
-        b = infonce_loss(z1, z2, temperature=0.4)
+        b = L2LContrast(InfoNCE(temperature=0.4), AllPairs()).loss(z1, z2)
         assert float(a.item()) == float(b.item())
 
     def test_sampled_approaches_dense_as_k_grows(self):
@@ -186,12 +189,14 @@ class TestMarginMining:
 
 class TestEuclidean:
     def test_matches_legacy_shim(self):
-        from repro.core.losses import euclidean_contrastive_loss
-
+        """The removed ``core.losses.euclidean_contrastive_loss`` shim was
+        this composition: Eq. 5 through L2LContrast with uniform negatives."""
         z1, z2 = _views(m=14)
         negs = sample_negative_indices(14, 5, np.random.default_rng(2))
         a = Euclidean().pair_loss(z1, z2, negatives=negs)
-        b = euclidean_contrastive_loss(z1, z2, negs)
+        b = L2LContrast(Euclidean(), UniformK(k=5)).loss(
+            z1, z2, rng=np.random.default_rng(2)
+        )
         assert float(a.item()) == float(b.item())
 
     def test_requires_negatives(self):

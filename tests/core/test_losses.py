@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor
-from repro.core import (
-    euclidean_contrastive_loss,
-    infonce_loss,
-    sample_negative_indices,
-)
+from repro.contrast import Euclidean, InfoNCE, sample_negative_indices
 
 
 def random_embeddings(rng, m=12, d=6):
@@ -22,15 +18,15 @@ class TestEuclideanLoss:
         """Positive distance 0, negatives positive → loss < 0 (Eq. 5)."""
         h = random_embeddings(rng)
         negs = sample_negative_indices(12, 4, rng)
-        loss = euclidean_contrastive_loss(h, Tensor(h.data.copy()), negs)
+        loss = Euclidean().pair_loss(h, Tensor(h.data.copy()), negatives=negs)
         assert loss.item() < 0
 
     def test_decreases_when_positives_align(self, rng):
         h1 = random_embeddings(rng)
         h2 = random_embeddings(rng)
         negs = sample_negative_indices(12, 4, rng)
-        far = euclidean_contrastive_loss(h1, h2, negs).item()
-        near = euclidean_contrastive_loss(h1, Tensor(h1.data.copy()), negs).item()
+        far = Euclidean().pair_loss(h1, h2, negatives=negs).item()
+        near = Euclidean().pair_loss(h1, Tensor(h1.data.copy()), negatives=negs).item()
         assert near < far
 
     def test_bounded_by_normalization(self, rng):
@@ -39,7 +35,7 @@ class TestEuclideanLoss:
         h1 = Tensor(rng.normal(size=(10, 4)) * 1e6)
         h2 = Tensor(rng.normal(size=(10, 4)) * 1e-6)
         negs = sample_negative_indices(10, 3, rng)
-        loss = euclidean_contrastive_loss(h1, h2, negs).item()
+        loss = Euclidean().pair_loss(h1, h2, negatives=negs).item()
         assert -4.0 <= loss <= 4.0
 
     def test_weights_reweight_anchors(self, rng):
@@ -48,28 +44,28 @@ class TestEuclideanLoss:
         negs = sample_negative_indices(4, 2, rng)
         w_first = np.array([100.0, 1e-9, 1e-9, 1e-9])
         w_last = np.array([1e-9, 1e-9, 1e-9, 100.0])
-        l_first = euclidean_contrastive_loss(h1, h2, negs, weights=w_first).item()
-        l_last = euclidean_contrastive_loss(h1, h2, negs, weights=w_last).item()
+        l_first = Euclidean().pair_loss(h1, h2, negatives=negs, weights=w_first).item()
+        l_last = Euclidean().pair_loss(h1, h2, negatives=negs, weights=w_last).item()
         assert l_first != pytest.approx(l_last)
 
     def test_gradients_flow_to_both_views(self, rng):
         h1 = random_embeddings(rng)
         h2 = random_embeddings(rng)
         negs = sample_negative_indices(12, 4, rng)
-        euclidean_contrastive_loss(h1, h2, negs).backward()
+        Euclidean().pair_loss(h1, h2, negatives=negs).backward()
         assert h1.grad is not None and np.abs(h1.grad).sum() > 0
         assert h2.grad is not None and np.abs(h2.grad).sum() > 0
 
     def test_negatives_shape_validated(self, rng):
         h = random_embeddings(rng, m=5)
         with pytest.raises(ValueError):
-            euclidean_contrastive_loss(h, h, np.zeros((3, 2), dtype=int))
+            Euclidean().pair_loss(h, h, negatives=np.zeros((3, 2), dtype=int))
 
     def test_weight_length_validated(self, rng):
         h = random_embeddings(rng, m=5)
         negs = sample_negative_indices(5, 2, rng)
         with pytest.raises(ValueError):
-            euclidean_contrastive_loss(h, h, negs, weights=np.ones(3))
+            Euclidean().pair_loss(h, h, negatives=negs, weights=np.ones(3))
 
 
 class TestInfoNCE:
@@ -78,7 +74,7 @@ class TestInfoNCE:
         m, d, t = 5, 3, 0.5
         a = rng.normal(size=(m, d))
         b = rng.normal(size=(m, d))
-        loss = infonce_loss(Tensor(a), Tensor(b), temperature=t, symmetric=False).item()
+        loss = InfoNCE(temperature=t, symmetric=False).pair_loss(Tensor(a), Tensor(b)).item()
 
         z1 = a / np.linalg.norm(a, axis=1, keepdims=True)
         z2 = b / np.linalg.norm(b, axis=1, keepdims=True)
@@ -93,26 +89,26 @@ class TestInfoNCE:
 
     def test_aligned_pairs_score_lower(self, rng):
         a = rng.normal(size=(10, 4))
-        aligned = infonce_loss(Tensor(a), Tensor(a.copy())).item()
-        shuffled = infonce_loss(Tensor(a), Tensor(a[::-1].copy())).item()
+        aligned = InfoNCE().pair_loss(Tensor(a), Tensor(a.copy())).item()
+        shuffled = InfoNCE().pair_loss(Tensor(a), Tensor(a[::-1].copy())).item()
         assert aligned < shuffled
 
     def test_symmetric_averages_directions(self, rng):
         a, b = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        sym = infonce_loss(Tensor(a), Tensor(b), symmetric=True).item()
-        d1 = infonce_loss(Tensor(a), Tensor(b), symmetric=False).item()
-        d2 = infonce_loss(Tensor(b), Tensor(a), symmetric=False).item()
+        sym = InfoNCE(symmetric=True).pair_loss(Tensor(a), Tensor(b)).item()
+        d1 = InfoNCE(symmetric=False).pair_loss(Tensor(a), Tensor(b)).item()
+        d2 = InfoNCE(symmetric=False).pair_loss(Tensor(b), Tensor(a)).item()
         assert sym == pytest.approx((d1 + d2) / 2, rel=1e-9)
 
     def test_temperature_validated(self, rng):
         a = Tensor(rng.normal(size=(4, 3)))
         with pytest.raises(ValueError):
-            infonce_loss(a, a, temperature=0.0)
+            InfoNCE(temperature=0.0).pair_loss(a, a)
 
     def test_gradients_flow(self, rng):
         h1 = random_embeddings(rng, m=6)
         h2 = random_embeddings(rng, m=6)
-        infonce_loss(h1, h2).backward()
+        InfoNCE().pair_loss(h1, h2).backward()
         assert np.abs(h1.grad).sum() > 0
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the unified training loop and its stock hooks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.autograd import Parameter
+from repro.autograd import Parameter, functional, ops
 from repro.engine import (
     CallbackHook,
     EarlyStopping,
@@ -199,3 +201,46 @@ def test_run_history_row_round_trip():
 def test_negative_epochs_rejected():
     with pytest.raises(ValueError):
         TrainLoop(ScriptedStep([]), epochs=-1)
+
+
+class VaryingAnchorStep(TrainStep):
+    """A contrastive-shaped step whose anchor count changes every epoch,
+    the way sampled mini-batch training sees a new block size per batch."""
+
+    def __init__(self, d=16, hidden=32):
+        rng = np.random.default_rng(0)
+        self.w = Parameter(rng.normal(size=(d, hidden)) * 0.1)
+        self.d = d
+
+    def trainable_parameters(self):
+        return [self.w]
+
+    def compute_loss(self, loop, epoch):
+        m = 300 + 17 * epoch
+        x = loop.rngs.stream("data").normal(size=(m, self.d))
+        h = ops.relu(ops.matmul(x, self.w))
+        sims = functional.cosine_similarity_matrix(h, h)          # (m, m)
+        return ops.mean(ops.exp(sims))
+
+
+def test_memory_stays_flat_when_batch_shapes_change_every_epoch():
+    """Nothing may keep per-shape gradient buffers alive between epochs:
+    traced memory after epoch 6 matches epoch 2 even though every epoch
+    backpropagates through arrays of a new shape."""
+    traced = {}
+
+    class TraceMemory(Hook):
+        def on_epoch_end(self, loop, epoch, record):
+            traced[epoch] = tracemalloc.get_traced_memory()[0]
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        TrainLoop(VaryingAnchorStep(), epochs=7, hooks=[TraceMemory()]).run()
+    finally:
+        if started:
+            tracemalloc.stop()
+    # One (m, m) float64 array here is ~0.7-1.4 MB; retaining even one of
+    # them per epoch would grow the trace by several MB over four epochs.
+    assert traced[6] - traced[2] < 256 * 1024, traced

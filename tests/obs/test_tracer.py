@@ -1,5 +1,7 @@
 """Tracer behaviour: span nesting, event shapes, activation, overhead."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -40,6 +42,51 @@ class TestSpans:
         assert by_name["sibling"]["parent"] == by_name["outer"]["id"]
         ids = [e["id"] for e in tracer.events]
         assert len(set(ids)) == len(ids)
+
+    def test_threads_nest_on_their_own_stacks(self):
+        """Four threads each hold a parent span open while they open a
+        child: every child names its own thread's parent, span ids stay
+        unique under rapid thread switching, and no stack entry outlives
+        its span on any thread."""
+        tracer = Tracer()
+        threads, repeats = 4, 200
+        barrier = threading.Barrier(threads, timeout=10)
+        leftover = {}
+
+        def work(i):
+            with tracer.span("parent", thread=i):
+                barrier.wait()  # every parent is open before any child
+                with tracer.span("child", thread=i):
+                    barrier.wait()  # every child is open before any closes
+            for _ in range(repeats):
+                with tracer.span("outer", thread=i):
+                    with tracer.span("inner", thread=i):
+                        pass
+            leftover[i] = len(tracer._stack)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        by_id = {e["id"]: e for e in tracer.events}
+        assert len(by_id) == len(tracer.events) == threads * (2 + 2 * repeats)
+        for event in tracer.events:
+            if event["name"] in ("parent", "outer"):
+                assert event["parent"] is None and event["depth"] == 0
+            else:
+                parent = by_id[event["parent"]]
+                assert parent["thread"] == event["thread"]
+                assert parent["name"] == {"child": "parent", "inner": "outer"}[event["name"]]
+                assert event["depth"] == 1
+        assert leftover == {i: 0 for i in range(threads)}
+        assert tracer._stack == []
 
     def test_span_payload_shape(self):
         tracer = Tracer()

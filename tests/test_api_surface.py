@@ -77,6 +77,51 @@ def test_stopwatch_stays_removed():
         importlib.import_module("repro.eval.timer")
 
 
+def test_deleted_gradient_pool_stays_removed():
+    """The pooled gradient-buffer subsystem was deleted (its steps ran at
+    0.96x the plain path and its shape-keyed pool grew without bound under
+    sampled training).  Pin the autograd package to its plain modules and
+    exports, and ``TrainLoop`` to its options, so no pool module, export or
+    switch comes back."""
+    import pkgutil
+
+    import repro.autograd
+    from repro.engine import TrainLoop
+
+    modules = {info.name for info in pkgutil.iter_modules(repro.autograd.__path__)}
+    assert modules == {
+        "functional", "gradcheck", "init", "module", "ops", "optim", "tensor",
+    }
+    assert set(repro.autograd.__all__) == {
+        "Tensor", "ensure_tensor", "default_dtype", "get_default_dtype",
+        "set_default_dtype", "gradcheck", "GradcheckResult", "Parameter",
+        "Module", "Sequential", "SGD", "Adam", "AdamW", "ExponentialLR",
+        "CosineAnnealingLR", "global_grad_norm", "ops", "functional", "init",
+    }
+    assert list(inspect.signature(TrainLoop).parameters) == [
+        "step", "epochs", "lr", "weight_decay", "optimizer_factory", "hooks",
+        "rngs", "seed", "scope", "resume_from",
+    ]
+
+
+def test_fused_cosine_kernels_and_loss_shim_stay_removed():
+    """``normalize_cosine_sim`` / ``normalize_cosine_rowwise`` measured
+    1.00-1.01x against the op chain and were deleted; the gather kernel
+    (O(n·k), measured 28x) is the one cosine kernel left.  The
+    ``repro.core.losses`` re-export shim is gone: losses live in
+    ``repro.contrast``."""
+    import repro.core
+    from repro.autograd import ops
+
+    assert sorted(name for name in dir(ops) if "cosine" in name) == [
+        "normalize_cosine_sim_gather",
+    ]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.losses")
+    for name in ("euclidean_contrastive_loss", "infonce_loss"):
+        assert not hasattr(repro.core, name)
+
+
 def test_no_accidental_sklearn_or_torch_imports():
     """The reproduction must stand on numpy/scipy/networkx alone."""
     import sys

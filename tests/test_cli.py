@@ -59,11 +59,19 @@ class TestTrain:
         assert "accuracy" in out
         assert (tmp_path / "m.npz").exists()
 
-    def test_save_rejected_for_baselines(self, tmp_path, capsys):
+    def test_save_writes_v2_checkpoint_for_baselines(self, tmp_path):
+        """``--save`` writes a v2 engine checkpoint for any method, and
+        ``export_encoder`` rehydrates the trained encoder from it."""
+        from repro.core.serialization import export_encoder
+
+        path = tmp_path / "m.npz"
         code = main(["train", "--dataset", "cora", "--scale", "0.1",
                      "--epochs", "1", "--trials", "1", "--method", "dgi",
-                     "--save", str(tmp_path / "m.npz")])
-        assert code == 2
+                     "--save", str(path)])
+        assert code == 0
+        artifact = export_encoder(path)
+        assert artifact.kind == "gcn"
+        assert artifact.step_class == "DGI"
 
 
 class TestSampledFlags:

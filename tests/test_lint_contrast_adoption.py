@@ -68,6 +68,19 @@ def test_detects_log_over_gathered_similarity(tmp_path):
     assert "normalize_cosine_sim_gather" in findings[0]
 
 
+def test_detects_exp_over_cosine_helper(tmp_path):
+    """The dense cosine similarity is the functional helper's op chain;
+    exponentiating it inline is still a hand-rolled loss."""
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from repro.autograd import functional, ops\n\n"
+        "den = ops.exp(functional.cosine_similarity_matrix(z1, z2))\n"
+    )
+    findings = check_contrast_adoption.check_file(module)
+    assert len(findings) == 1
+    assert "cosine_similarity_matrix" in findings[0]
+
+
 def test_vgae_reparameterisation_passes(tmp_path):
     """exp over a non-similarity expression is not a loss."""
     module = tmp_path / "mod.py"

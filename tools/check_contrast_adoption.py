@@ -12,8 +12,8 @@ signature of a hand-rolled similarity loss:
 
 * any ``logsumexp`` call — the dense-InfoNCE denominator primitive, or
 * an ``exp``/``log`` call whose argument expression contains a
-  similarity-producing call (``matmul``, ``normalize_cosine_sim``,
-  ``normalize_cosine_sim_gather``, ``normalize_cosine_rowwise``,
+  similarity-producing call (``matmul``, ``normalize_cosine_sim_gather``,
+  ``cosine_similarity_matrix``, ``rowwise_cosine_similarity``,
   ``bilinear_scores``) — i.e. exponentiating similarity scores inline.
 
 Plain ``exp``/``log`` over non-similarity expressions passes: VGAE's
@@ -47,9 +47,9 @@ LOGSUMEXP_NAMES = ("logsumexp",)
 #: Calls that produce similarity scores; exp/log over these is a loss.
 SIMILARITY_CALLS = (
     "matmul",
-    "normalize_cosine_sim",
     "normalize_cosine_sim_gather",
-    "normalize_cosine_rowwise",
+    "cosine_similarity_matrix",
+    "rowwise_cosine_similarity",
     "bilinear_scores",
 )
 
